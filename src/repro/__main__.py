@@ -33,6 +33,12 @@ EXIT_USAGE = 2
 EXIT_REPRO_ERROR = 3
 
 
+def _smoke(lines: list[str]) -> int:
+    """Print a command's byte-stable smoke lines; 1 if any failed."""
+    print("\n".join(lines))
+    return 1 if any(line.startswith("smoke failed") for line in lines) else 0
+
+
 def _cmd_figure7(args: argparse.Namespace) -> int:
     from .bench import run_figure7
     from .workloads import WorkloadConfig
@@ -132,11 +138,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.smoke:
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _smoke(smoke_lines(seed=args.seed))
 
     machine = paper_machine()
     config = mixed_tenant_config(args.n)
@@ -248,11 +250,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from .recovery.harness import run_recover, smoke_lines
 
     if args.smoke:
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _smoke(smoke_lines(seed=args.seed))
     schedule = (
         load_schedule(args.schedule) if args.schedule is not None else None
     )
@@ -279,11 +277,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     if args.smoke:
         # Byte-stable: simulated quantities only, never wall-clock.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _smoke(smoke_lines(seed=args.seed))
     report = run_perf(
         tuple(args.tasks),
         seed=args.seed,
@@ -307,11 +301,7 @@ def _cmd_optbench(args: argparse.Namespace) -> int:
         # Byte-stable: deterministic counters and costs, never
         # wall-clock; fails if the fast path diverged from the
         # reference search.
-        lines = smoke_lines(seed=args.seed, topology=args.topology)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _smoke(smoke_lines(seed=args.seed, topology=args.topology))
     report = run_optbench(
         tuple(args.relations),
         spaces=tuple(args.spaces),
@@ -348,13 +338,9 @@ def _cmd_servebench(args: argparse.Namespace) -> int:
 
     if args.smoke:
         # Byte-stable: outcome and gate-consult counts plus simulated
-        # time, never wall-clock; fails if the fast path diverged from
-        # the reference gate.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        # time, never wall-clock; fails if the serving-accounting
+        # oracle finds a mis-accounted submission.
+        return _smoke(smoke_lines(seed=args.seed))
     cases = DEFAULT_CASES
     if args.cases is not None:
         if len(args.cases) % 3:
@@ -363,29 +349,23 @@ def _cmd_servebench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        cases = tuple(
-            (int(args.cases[i]), float(args.cases[i + 1]), int(args.cases[i + 2]))
-            for i in range(0, len(args.cases), 3)
-        )
-    report = run_servebench(
-        cases,
-        seed=args.seed,
-        repeats=args.repeats,
-        include_before=not args.no_before,
-    )
+        triples = [
+            args.cases[i : i + 3] for i in range(0, len(args.cases), 3)
+        ]
+        if not all(n.is_integer() and q.is_integer() for n, __, q in triples):
+            print(
+                "servebench: --cases stream length and queue cap must be "
+                "integers",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        cases = tuple((int(n), rate, int(q)) for n, rate, q in triples)
+    report = run_servebench(cases, seed=args.seed, repeats=args.repeats)
     print(report.to_table())
-    if not all(case.identical for case in report.cases):
-        print(
-            "servebench failed: fast path diverged from the reference gate",
-            file=sys.stderr,
-        )
-        return 1
     if args.json is not None:
         path = Path(args.json)
-        count = 0
-        for entry in report.to_entries(args.label):
-            count = append_trajectory(path, entry)
-        print(f"appended entries through {count} to {path}")
+        count = append_trajectory(path, report.to_entry(args.label))
+        print(f"appended entry {count} to {path}")
     return 0
 
 
@@ -397,11 +377,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.smoke:
         # Byte-stable: virtual-time event counts and simulated
         # quantities only, never wall-clock.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _smoke(smoke_lines(seed=args.seed))
     report = run_trace(
         args.seed,
         n_tasks=args.tasks,
@@ -432,11 +408,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.smoke:
         # One quick pass over every pillar: invariant hooks in both
         # engines, each differential pair, and the real executor.
-        lines = smoke_lines(seed=args.seed)
-        print("\n".join(lines))
-        if any(line.startswith("smoke failed") for line in lines):
-            return 1
-        return 0
+        return _smoke(smoke_lines(seed=args.seed))
     if args.invariants:
         scenario = generate_scenario(args.seed)
         print(scenario.describe())
@@ -782,12 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=3,
-        help="wall-clock repetitions per arm (best is kept)",
-    )
-    servebench.add_argument(
-        "--no-before",
-        action="store_true",
-        help="skip the reference-gate timings",
+        help="wall-clock repetitions per case (best is kept)",
     )
     servebench.add_argument(
         "--json",
@@ -798,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     servebench.add_argument(
         "--label",
         default="local",
-        help="label of the --json trajectory entries",
+        help="label of the --json trajectory entry",
     )
     servebench.add_argument(
         "--smoke",

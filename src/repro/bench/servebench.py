@@ -1,29 +1,27 @@
 """Serving throughput benchmark (``python -m repro servebench``).
 
 The admission gate is the hot loop of serving mode: the engine consults
-it on every virtual event, and before the fast path (dict-backed FIFO
-queue, heap-backed deadline instants, memoized gated views, head-window
-admission scans — :mod:`repro.service.server`) each consult rescanned
-every queue, retry entry and in-flight submission.  This harness times
-the full serving pipeline on the **ext2 stress preset** — the extreme
-two-tenant ETL/OLAP mix (:func:`repro.service.arrivals.mixed_tenant_config`)
-driven deep into congestion: offered load far above capacity, deep
-per-tenant queues, retry backoff and shed-mode deadline enforcement,
-the regime where a high-throughput gate earns its keep.  Each case runs
-with the fast path on (``after``) and with the preserved seed-era gate
-(``before``: :class:`~repro.service.queue.ReferenceAdmissionQueue` plus
-identity-keyed balance memoization via
-:func:`~repro.core.balance.reference_point_keying`), verifies both arms
-digest byte-identically, and reports submissions/sec and
-gate-decisions/sec.  ``BENCH_SERVE.json`` at the repository root
-records the trajectory, mirroring ``BENCH_PERF.json`` and
-``BENCH_OPT.json``.
+it on every virtual event, so the gate keeps incremental state
+(dict-backed FIFO queue, heap-backed deadline instants, memoized gated
+views, head-window admission scans — :mod:`repro.service.server`)
+instead of rescanning every queue, retry entry and in-flight submission
+per consult.  This harness times the full serving pipeline on the
+**ext2 stress preset** — the extreme two-tenant ETL/OLAP mix
+(:func:`repro.service.arrivals.mixed_tenant_config`) driven deep into
+congestion: offered load far above capacity, deep per-tenant queues,
+retry backoff and shed-mode deadline enforcement, the regime where a
+high-throughput gate earns its keep.  Each case reports
+submissions/sec and gate-decisions/sec.  ``BENCH_SERVE.json`` at the
+repository root records the trajectory, mirroring ``BENCH_PERF.json``
+and ``BENCH_OPT.json``.
 
 Workloads are seeded, so every simulated quantity — outcome statuses
 and timestamps, utilizations, gate-consult counts — is byte-stable;
 only wall-clock varies between machines.  ``--smoke`` prints only the
-byte-stable part and asserts fast/reference digest identity, giving CI
-a cheap end-to-end check of the behaviour-identity argument.
+byte-stable part and runs the serving-accounting oracle
+(:func:`repro.check.accounting.check_service_accounting`) on it, giving
+CI a cheap end-to-end check that every submission is accounted exactly
+once and that the run replays deterministically.
 """
 
 from __future__ import annotations
@@ -31,7 +29,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..core.balance import clear_point_cache, reference_point_keying
+from ..check.accounting import check_service_accounting
+from ..core.balance import clear_point_cache
 from ..core.ids import id_scope
 from ..core.schedulers import InterWithAdjPolicy
 from ..faults.retry import RetryPolicy
@@ -43,26 +42,28 @@ from .perf import append_trajectory  # re-exported trajectory writer
 __all__ = [
     "DEFAULT_CASES",
     "DEFAULT_REPEATS",
+    "SMOKE_CASE",
     "ServeBenchCase",
     "ServeBenchReport",
     "append_trajectory",
     "run_servebench",
     "serve_once",
-    "service_digest",
     "smoke_lines",
 ]
 
 #: The ext2 stress ladder: (stream length, offered rate λ, queue bound).
 #: Offered load sits far above the service capacity at every rung, so
 #: the gate runs congested — deep queues, steady retry traffic and
-#: deadline enforcement — which is exactly the regime the fast path
-#: targets (an idle gate is cheap in any implementation).
+#: deadline enforcement — which is exactly the regime the incremental
+#: gate targets (an idle gate is cheap in any implementation).
 DEFAULT_CASES: tuple[tuple[int, float, int], ...] = (
     (600, 1.5, 64),
     (1200, 3.0, 256),
     (2400, 6.0, 512),
 )
-#: Wall-clock repetitions per arm; the best (minimum) time is kept.
+#: The ``--smoke`` run: (stream length, offered rate λ, queue bound).
+SMOKE_CASE: tuple[int, float, int] = (120, 1.0, 16)
+#: Wall-clock repetitions per case; the best (minimum) time is kept.
 DEFAULT_REPEATS = 3
 #: Fragment budget of every case (small: admission decides constantly).
 _MAX_INFLIGHT = 4
@@ -71,45 +72,13 @@ _RETRY = dict(max_retries=6, base_delay=0.5, max_delay=8.0)
 _DEADLINE_GRACE = 5.0
 
 
-def service_digest(result: ServiceResult) -> list:
-    """A float.hex-exact digest of everything a serving run decides.
-
-    Two runs digest equal iff they made the same decisions at the same
-    virtual instants: per-submission status and every timestamp
-    (admitted/finished/rejected/cancelled), the elapsed time and both
-    utilizations, all rendered with ``float.hex`` so equality is
-    bit-for-bit, never rounded.  The frozen serve corpus and the
-    benchmark's before/after comparison both rest on this digest.
-    """
-    rows: list = [result.admission_name, float(result.elapsed).hex()]
-
-    def hx(value: float | None) -> str | None:
-        return None if value is None else float(value).hex()
-
-    for outcome in result.outcomes:
-        rows.append(
-            [
-                outcome.submission.name,
-                outcome.submission.tenant,
-                outcome.status,
-                hx(outcome.admitted_at),
-                hx(outcome.finished_at),
-                hx(outcome.rejected_at),
-                hx(outcome.cancelled_at),
-            ]
-        )
-    rows.append(float(result.metrics.cpu_utilization).hex())
-    rows.append(float(result.metrics.io_utilization).hex())
-    return rows
-
-
 def _stress_stream(n: int, rate: float, *, seed: int):
     """The ext2 arrival stream of one rung (deterministic per arguments)."""
     config = mixed_tenant_config(n)
     return poisson_stream(rate=rate, seed=seed, config=config)
 
 
-def _stress_service(queue_capacity: int, *, fast_path: bool) -> QueryService:
+def _stress_service(queue_capacity: int) -> QueryService:
     """A fresh service with the stress preset's gate knobs."""
     return QueryService(
         admission=BalanceAwareAdmission(),
@@ -119,7 +88,6 @@ def _stress_service(queue_capacity: int, *, fast_path: bool) -> QueryService:
         retry=RetryPolicy(**_RETRY),
         deadline_policy="shed",
         deadline_grace=_DEADLINE_GRACE,
-        fast_path=fast_path,
     )
 
 
@@ -129,7 +97,6 @@ def serve_once(
     queue_capacity: int,
     *,
     seed: int = 0,
-    fast_path: bool = True,
 ) -> ServiceResult:
     """One serving run of the ext2 stress preset, scoped and seeded.
 
@@ -139,9 +106,7 @@ def serve_once(
     """
     with id_scope():
         stream = _stress_stream(n, rate, seed=seed)
-        return _stress_service(queue_capacity, fast_path=fast_path).run(
-            stream
-        )
+        return _stress_service(queue_capacity).run(stream)
 
 
 @dataclass(frozen=True)
@@ -149,7 +114,7 @@ class ServeBenchCase:
     """One timed rung of the stress ladder.
 
     The outcome counters and ``decide_rounds`` are deterministic for a
-    given seed; only the ``wall_*`` fields vary between machines.
+    given seed; only ``wall_seconds`` varies between machines.
     """
 
     n_submissions: int
@@ -158,28 +123,20 @@ class ServeBenchCase:
     completed: int
     rejected: int
     deadline_cancelled: int
-    degraded: int
     decide_rounds: int
-    wall_before: float | None
-    wall_after: float
-    identical: bool
-
-    @property
-    def speedup(self) -> float | None:
-        """Before/after wall-clock ratio (None without a before run)."""
-        if self.wall_before is None or self.wall_after <= 0:
-            return None
-        return self.wall_before / self.wall_after
+    wall_seconds: float
 
     @property
     def subs_per_sec(self) -> float:
-        """Submissions served per wall second, fast arm."""
-        return self.n_submissions / self.wall_after if self.wall_after else 0.0
+        """Submissions served per wall second."""
+        wall = self.wall_seconds
+        return self.n_submissions / wall if wall else 0.0
 
     @property
     def rounds_per_sec(self) -> float:
-        """Gate consults per wall second, fast arm."""
-        return self.decide_rounds / self.wall_after if self.wall_after else 0.0
+        """Gate consults per wall second."""
+        wall = self.wall_seconds
+        return self.decide_rounds / wall if wall else 0.0
 
 
 @dataclass
@@ -196,116 +153,49 @@ class ServeBenchReport:
             f"serving throughput (ext2 stress preset, seed={self.seed}, "
             f"best of {self.repeats})",
             f"{'subs':>5} {'rate':>5} {'qcap':>5} {'done':>5} {'rej':>5} "
-            f"{'ddl':>5} {'rounds':>7} {'before s':>9} {'after s':>8} "
-            f"{'speedup':>8} {'subs/sec':>9} {'rounds/sec':>11}",
+            f"{'ddl':>5} {'rounds':>7} {'wall s':>8} "
+            f"{'subs/sec':>9} {'rounds/sec':>11}",
         ]
         for case in self.cases:
-            before = (
-                f"{case.wall_before:>9.3f}"
-                if case.wall_before is not None
-                else f"{'-':>9}"
-            )
-            speedup = (
-                f"{case.speedup:>7.2f}x"
-                if case.speedup is not None
-                else f"{'-':>8}"
-            )
             lines.append(
                 f"{case.n_submissions:>5} {case.rate:>5.1f} "
                 f"{case.queue_capacity:>5} {case.completed:>5} "
                 f"{case.rejected:>5} {case.deadline_cancelled:>5} "
-                f"{case.decide_rounds:>7} {before} {case.wall_after:>8.3f} "
-                f"{speedup} {case.subs_per_sec:>9,.0f} "
-                f"{case.rounds_per_sec:>11,.0f}"
-            )
-        if not all(case.identical for case in self.cases):
-            lines.append(
-                "DIGEST MISMATCH: fast path diverged from the reference gate"
+                f"{case.decide_rounds:>7} {case.wall_seconds:>8.3f} "
+                f"{case.subs_per_sec:>9,.0f} {case.rounds_per_sec:>11,.0f}"
             )
         return "\n".join(lines)
 
-    def to_entries(self, label: str) -> list[dict]:
-        """Before/after ``BENCH_SERVE.json`` trajectory entries.
-
-        The *before* entry (reference gate) is only emitted when before
-        timings were collected.
-        """
-
-        def case_key(case: ServeBenchCase) -> str:
-            return f"{case.n_submissions}sub/{case.rate:g}ps"
-
-        entries: list[dict] = []
-        if all(case.wall_before is not None for case in self.cases):
-            entries.append(
-                {
-                    "label": f"{label}/fast-path-off",
-                    "seed": self.seed,
-                    "repeats": self.repeats,
-                    "fast_path": False,
-                    "workloads": {
-                        case_key(case): {
-                            "decide_rounds": case.decide_rounds,
-                            "wall_seconds": round(case.wall_before, 4),
-                            "subs_per_sec": round(
-                                case.n_submissions / case.wall_before
-                            )
-                            if case.wall_before
-                            else 0,
-                            "rounds_per_sec": round(
-                                case.decide_rounds / case.wall_before
-                            )
-                            if case.wall_before
-                            else 0,
-                        }
-                        for case in self.cases
-                    },
+    def to_entry(self, label: str) -> dict:
+        """One ``BENCH_SERVE.json`` trajectory entry."""
+        return {
+            "label": label,
+            "seed": self.seed,
+            "repeats": self.repeats,
+            "workloads": {
+                f"{case.n_submissions}sub/{case.rate:g}ps": {
+                    "completed": case.completed,
+                    "rejected": case.rejected,
+                    "deadline_cancelled": case.deadline_cancelled,
+                    "decide_rounds": case.decide_rounds,
+                    "wall_seconds": round(case.wall_seconds, 4),
+                    "subs_per_sec": round(case.subs_per_sec),
+                    "rounds_per_sec": round(case.rounds_per_sec),
                 }
-            )
-        entries.append(
-            {
-                "label": f"{label}/fast-path-on",
-                "seed": self.seed,
-                "repeats": self.repeats,
-                "fast_path": True,
-                "workloads": {
-                    case_key(case): {
-                        "completed": case.completed,
-                        "rejected": case.rejected,
-                        "deadline_cancelled": case.deadline_cancelled,
-                        "decide_rounds": case.decide_rounds,
-                        "wall_seconds": round(case.wall_after, 4),
-                        "subs_per_sec": round(case.subs_per_sec),
-                        "rounds_per_sec": round(case.rounds_per_sec),
-                        "speedup_vs_off": round(case.speedup, 2)
-                        if case.speedup is not None
-                        else None,
-                        "digest_identical_to_off": case.identical,
-                    }
-                    for case in self.cases
-                },
-            }
-        )
-        return entries
+                for case in self.cases
+            },
+        }
 
 
-def _time_arm(
-    n: int,
-    rate: float,
-    queue_capacity: int,
-    *,
-    seed: int,
-    fast_path: bool,
-    repeats: int,
+def _time_case(
+    n: int, rate: float, queue_capacity: int, *, seed: int, repeats: int
 ) -> tuple[float, ServiceResult]:
-    """Best-of-``repeats`` wall time of one arm, each repeat cold.
+    """Best-of-``repeats`` wall time of one rung, each repeat cold.
 
     Only the serve itself is timed — the arrival stream is built once
-    outside the clock, since generation cost is identical for both arms
-    and not part of the gate under measurement.  The balance-point memo
-    is cleared before every repeat so the measurement is a from-scratch
-    serve, not a warm-cache replay; the reference arm additionally runs
-    under the seed-era identity cache keys so its timings reflect the
-    genuine pre-optimization behaviour.
+    outside the clock, since generation is not part of the gate under
+    measurement.  The balance-point memo is cleared before every repeat
+    so the measurement is a from-scratch serve, not a warm-cache replay.
     """
     best = float("inf")
     result: ServiceResult | None = None
@@ -313,16 +203,10 @@ def _time_arm(
         stream = _stress_stream(n, rate, seed=seed)
         for __ in range(repeats):
             clear_point_cache()
-            service = _stress_service(queue_capacity, fast_path=fast_path)
-            if fast_path:
-                start = time.perf_counter()
-                result = service.run(stream)
-                best = min(best, time.perf_counter() - start)
-            else:
-                with reference_point_keying():
-                    start = time.perf_counter()
-                    result = service.run(stream)
-                    best = min(best, time.perf_counter() - start)
+            service = _stress_service(queue_capacity)
+            start = time.perf_counter()
+            result = service.run(stream)
+            best = min(best, time.perf_counter() - start)
     assert result is not None
     return best, result
 
@@ -332,36 +216,14 @@ def run_servebench(
     *,
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
-    include_before: bool = True,
 ) -> ServeBenchReport:
-    """Time the serving pipeline across the stress ladder.
-
-    With ``include_before`` (default) each rung is also timed on the
-    reference gate and the two digests are compared — a mismatch is
-    reported on the case (and loudly by :meth:`ServeBenchReport.to_table`)
-    rather than raised, so a regression still produces the numbers that
-    localize it.
-    """
+    """Time the serving pipeline across the stress ladder."""
     report = ServeBenchReport(seed=seed, repeats=repeats)
     for n, rate, queue_capacity in cases:
-        wall_after, fast_result = _time_arm(
-            n, rate, queue_capacity, seed=seed, fast_path=True, repeats=repeats
+        wall, result = _time_case(
+            n, rate, queue_capacity, seed=seed, repeats=repeats
         )
-        wall_before: float | None = None
-        identical = True
-        if include_before:
-            wall_before, ref_result = _time_arm(
-                n,
-                rate,
-                queue_capacity,
-                seed=seed,
-                fast_path=False,
-                repeats=repeats,
-            )
-            identical = service_digest(fast_result) == service_digest(
-                ref_result
-            )
-        statuses = [o.status for o in fast_result.outcomes]
+        statuses = [o.status for o in result.outcomes]
         report.cases.append(
             ServeBenchCase(
                 n_submissions=n,
@@ -371,11 +233,8 @@ def run_servebench(
                 + statuses.count("degraded"),
                 rejected=statuses.count("rejected"),
                 deadline_cancelled=statuses.count("deadline"),
-                degraded=statuses.count("degraded"),
-                decide_rounds=fast_result.decide_rounds,
-                wall_before=wall_before,
-                wall_after=wall_after,
-                identical=identical,
+                decide_rounds=result.decide_rounds,
+                wall_seconds=wall,
             )
         )
     return report
@@ -385,16 +244,15 @@ def smoke_lines(*, seed: int = 0) -> list[str]:
     """Byte-stable output of a small deterministic serving run.
 
     Reports only deterministic quantities (outcome counts, gate-consult
-    counts, simulated elapsed time), never wall-clock, and replays the
-    run on the reference gate to assert digest identity — two runs on
-    any machines print the same bytes unless the behaviour-identity
-    guarantee itself broke.
+    counts, simulated elapsed time), never wall-clock, and serves the
+    run twice to audit it with the serving-accounting oracle — two runs
+    on any machines print the same bytes unless a submission was
+    mis-accounted or the run stopped replaying deterministically.
     """
-    n, rate, queue_capacity = 120, 1.0, 16
-    fast = serve_once(n, rate, queue_capacity, seed=seed, fast_path=True)
-    with reference_point_keying():
-        ref = serve_once(n, rate, queue_capacity, seed=seed, fast_path=False)
-    statuses = [o.status for o in fast.outcomes]
+    n, rate, queue_capacity = SMOKE_CASE
+    result = serve_once(n, rate, queue_capacity, seed=seed)
+    rerun = serve_once(n, rate, queue_capacity, seed=seed)
+    statuses = [o.status for o in result.outcomes]
     lines = [
         f"smoke: ext2 mix, {n} submissions at {rate:g}/s, "
         f"queue cap {queue_capacity}, seed {seed}",
@@ -402,11 +260,10 @@ def smoke_lines(*, seed: int = 0) -> list[str]:
         f"{statuses.count('degraded')} degraded, "
         f"{statuses.count('rejected')} rejected, "
         f"{statuses.count('deadline')} deadline-cancelled",
-        f"smoke: {fast.decide_rounds} gate consults over "
-        f"{fast.elapsed:.4f}s simulated",
+        f"smoke: {result.decide_rounds} gate consults over "
+        f"{result.elapsed:.4f}s simulated",
     ]
-    if service_digest(fast) != service_digest(ref):
-        lines.append(
-            "smoke failed: fast path diverged from the reference gate"
-        )
+    failures = check_service_accounting(result, rerun)
+    if failures:
+        lines.append(f"smoke failed: serving accounting: {failures[0]}")
     return lines

@@ -18,9 +18,9 @@ pairs, and what "agreement" means for each:
 * **recursion vs fluid** — the ``T_n(S)`` closed-form recursion and
   the fluid engine with zero adjustment overhead are the same
   function; they must agree to numerical tolerance (1e-4 relative).
-* **optimizer fast path vs reference** — byte-identical plan shape and
-  bit-identical parcost on every query; the fast path promises plan
-  identity, so *any* difference is a bug.
+* **optimizer fast path vs exhaustive search** — byte-identical plan
+  shape and bit-identical parcost on every query; the fast path
+  promises plan identity, so *any* difference is a bug.
 * **real executor vs protocol semantics** — the multiprocessing
   Figure-5/6 executor must deliver every row exactly once under any
   adjustment schedule, the same exactly-once guarantee the micro

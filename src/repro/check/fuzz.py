@@ -2,7 +2,9 @@
 
 A :class:`Scenario` is a plain-data description of one randomized
 workload: task rates, sizes, io patterns, partitioning styles, arrival
-offsets, a scheduling policy, and optionally a fault schedule.
+offsets, a scheduling policy, and optionally a fault schedule.  Odd
+seeds also serve a randomized arrival stream through the admission
+gate and audit it with the serving-accounting oracle.
 :func:`generate_scenario` derives one deterministically from a seed;
 :func:`run_case` runs it through every applicable invariant and
 differential check and returns failure strings; :func:`shrink` greedily
@@ -22,6 +24,7 @@ from ..core.task import IOPattern
 from ..errors import ReproError
 from ..sim.micro import MicroSimulator, spec_for_io_rate
 from ..sim.fluid import FluidSimulator
+from .accounting import check_service_accounting, random_service_run
 from .differential import (
     check_executor_vs_protocol,
     check_micro_vs_fluid,
@@ -136,6 +139,9 @@ def run_case(
     policy = _policy(scenario.policy)
     invariants = InvariantChecker(collect=True, deep=deep)
 
+    if scenario.seed % 2 == 1:
+        failures.extend(_service_case(scenario.seed))
+
     if scenario.faults:
         # Fault runs exercise the invariants under crashes and stalls;
         # the fluid engine has no fault model, so no differential.
@@ -186,6 +192,19 @@ def run_case(
             )
         )
     return failures
+
+
+def _service_case(seed: int) -> list[str]:
+    """The serving-accounting oracle on one seeded random serving run."""
+    try:
+        result = random_service_run(seed)
+        rerun = random_service_run(seed)
+    except ReproError as exc:
+        return [f"serving run raised: {exc}"]
+    return [
+        f"serving: {failure}"
+        for failure in check_service_accounting(result, rerun)
+    ]
 
 
 def _optimizer_case(seed: int) -> list[str]:

@@ -171,7 +171,7 @@ def run_trace(
         seed=seed,
         tracer=tracer,
         metrics=metrics,
-        optimizer_stats=dict(optimized.stats or {}),
+        optimizer_stats=dict(optimized.stats),
         service_offered=overall.offered,
         service_completed=overall.completed,
         service_rejected=overall.rejected,

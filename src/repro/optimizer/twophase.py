@@ -17,12 +17,13 @@ Three optimizer modes map onto the paper:
   without parallel-aware costing).
 * ``BUSHY_PAR`` — Section 4: bushy space costed by ``parcost(p, n)``.
 
-By default the optimizer runs its **fast path**: per-node estimate
-memoization, signature-keyed parcost caching and branch-and-bound
-candidate skipping (see :mod:`repro.optimizer.cache`).  The fast path
-is plan-identical — ``fast_path=False`` searches exhaustively with no
-memos and chooses the same plan with the same cost, which the
-golden-plan corpus test asserts exactly.
+The optimizer runs a **fast path**: per-node estimate memoization,
+signature-keyed parcost caching and branch-and-bound candidate skipping
+(see :mod:`repro.optimizer.cache`).  It is plan-identical to the
+exhaustive search — :func:`~repro.optimizer.enumeration.enumerate_space`
+with an uncached objective (``caches=None``) chooses the same plan with
+the same cost, which the golden-plan corpus and the optimizer
+differential in :mod:`repro.check.differential` assert exactly.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ class OptimizedQuery:
     mode: OptimizerMode
     plan: PlanNode
     parallel: ParallelCost
-    #: Fast-path counters covering this optimization (None when the
-    #: optimizer ran with ``fast_path=False``).  A snapshot: numbers are
-    #: cumulative per optimizer instance, captured at return time.
-    stats: dict | None = None
+    #: Fast-path counters covering this optimization.  A snapshot:
+    #: numbers are cumulative per optimizer instance, captured at
+    #: return time.
+    stats: dict
 
     @property
     def predicted_elapsed(self) -> float:
@@ -78,11 +79,6 @@ class TwoPhaseOptimizer:
             single-user setting).
         cost_model: CPU constants shared by both cost functions.
         methods: join methods the enumerator may use.
-        fast_path: enable the memoized/pruned optimizer (default).  The
-            caches live on the optimizer instance and are shared across
-            queries — correct as long as the catalog's statistics do
-            not change underneath it; call ``caches.clear()`` after an
-            ANALYZE-style refresh.
         tracer: a :class:`~repro.obs.Tracer`; each ``optimize`` call
             emits one deterministic instant on the ``optimizer`` track
             carrying this query's candidate/pruned/costed deltas.
@@ -93,6 +89,11 @@ class TwoPhaseOptimizer:
             the ``optimizer.phase1_seconds`` histogram.  The hot
             enumeration loop keeps incrementing plain ints; the
             registry only sees per-call deltas.  ``None`` skips both.
+
+    The fast-path caches live on the optimizer instance and are shared
+    across queries — correct as long as the catalog's statistics do not
+    change underneath it; call ``caches.clear()`` after an ANALYZE-style
+    refresh.
     """
 
     def __init__(
@@ -102,7 +103,6 @@ class TwoPhaseOptimizer:
         machine: MachineConfig | None = None,
         cost_model: CostModel | None = None,
         methods: tuple[str, ...] = JOIN_METHODS,
-        fast_path: bool = True,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -110,17 +110,14 @@ class TwoPhaseOptimizer:
         self.machine = machine or paper_machine()
         self.cost_model = cost_model
         self.methods = methods
-        self.fast_path = fast_path
-        self.caches: OptimizerCaches | None = (
-            OptimizerCaches() if fast_path else None
-        )
+        self.caches = OptimizerCaches()
         self.tracer = tracer or None
         self.metrics = metrics
 
     @property
-    def cache_stats(self) -> CacheStats | None:
-        """Cumulative fast-path counters (None with ``fast_path=False``)."""
-        return self.caches.stats if self.caches is not None else None
+    def cache_stats(self) -> CacheStats:
+        """Cumulative fast-path counters."""
+        return self.caches.stats
 
     # -- phase 1 -------------------------------------------------------------------
 
@@ -153,17 +150,16 @@ class TwoPhaseOptimizer:
 
     def _seqcost(self, plan: PlanNode) -> float:
         caches = self.caches
-        if caches is not None:
-            if plan.node_id in caches.node_estimates:
-                caches.stats.estimate_hits += 1
-            else:
-                caches.stats.estimate_misses += 1
+        if plan.node_id in caches.node_estimates:
+            caches.stats.estimate_hits += 1
+        else:
+            caches.stats.estimate_misses += 1
         return estimate_plan(
             plan,
             self.catalog,
             cost_model=self.cost_model,
             machine=self.machine,
-            cache=caches.node_estimates if caches is not None else None,
+            cache=caches.node_estimates,
         ).seqcost()
 
     # -- phase 2 -------------------------------------------------------------------
@@ -214,7 +210,7 @@ class TwoPhaseOptimizer:
                 mode = OptimizerMode.LEFT_DEEP_SEQ
         stats = self.cache_stats
         observing = self.tracer is not None or self.metrics is not None
-        before = stats.as_dict() if observing and stats is not None else None
+        before = stats.as_dict() if observing else None
         t0 = time.perf_counter() if self.metrics is not None else 0.0
         plan = self.choose_plan(query, mode)
         if self.metrics is not None:
@@ -222,7 +218,7 @@ class TwoPhaseOptimizer:
                 time.perf_counter() - t0
             )
         parallel = self.parallelize(plan, policy=policy)
-        if observing and stats is not None:
+        if observing:
             after = stats.as_dict()
             assert before is not None
             delta = {
@@ -251,5 +247,5 @@ class TwoPhaseOptimizer:
             mode=mode,
             plan=plan,
             parallel=parallel,
-            stats=stats.as_dict() if stats is not None else None,
+            stats=stats.as_dict(),
         )

@@ -22,6 +22,7 @@ from repro.optimizer import (
     TwoPhaseOptimizer,
     enumerate_all_bushy,
     enumerate_space,
+    parallel_cost,
     parcost,
     parcost_lower_bound,
     plan_shape_key,
@@ -265,29 +266,42 @@ class TestJoinGraph:
 
 class TestTwoPhaseFastPath:
     def test_fast_and_slow_optimizers_agree(self, star):
-        fast = TwoPhaseOptimizer(star.catalog, fast_path=True)
-        slow = TwoPhaseOptimizer(star.catalog, fast_path=False)
-        for mode in OptimizerMode:
-            a = fast.optimize(star.query, mode=mode)
-            b = slow.optimize(star.query, mode=mode)
-            assert plan_shape_key(a.plan) == plan_shape_key(b.plan)
-            assert a.parallel.elapsed == b.parallel.elapsed
+        # The oracle is the exhaustive search: no memos, no pruning
+        # (caches=None objectives), then phase 2 on the chosen plan.
+        machine = paper_machine()
+
+        def seqcost(plan):
+            return estimate_plan(plan, star.catalog, machine=machine).seqcost()
+
+        exhaustive = {
+            OptimizerMode.LEFT_DEEP_SEQ: ("left-deep", seqcost),
+            OptimizerMode.BUSHY_SEQ: ("bushy", seqcost),
+            OptimizerMode.BUSHY_PAR: (
+                "bushy",
+                ParcostObjective(star.catalog, machine=machine),
+            ),
+        }
+        assert set(exhaustive) == set(OptimizerMode)
+        fast = TwoPhaseOptimizer(star.catalog, machine=machine)
+        for mode, (space, cost) in exhaustive.items():
+            slow = enumerate_space(star.query, star.catalog, cost, space=space)
+            result = fast.optimize(star.query, mode=mode)
+            assert plan_shape_key(result.plan) == plan_shape_key(slow)
+            assert result.parallel.elapsed == parallel_cost(
+                slow, star.catalog, machine=machine
+            ).elapsed
 
     def test_stats_exposed_only_on_the_fast_path(self, star):
-        fast = TwoPhaseOptimizer(star.catalog, fast_path=True)
+        fast = TwoPhaseOptimizer(star.catalog)
         result = fast.optimize(star.query, mode=OptimizerMode.BUSHY_PAR)
-        assert result.stats is not None
         assert result.stats["candidates"] > 0
-        assert fast.cache_stats is not None
         assert isinstance(fast.cache_stats, CacheStats)
-        slow = TwoPhaseOptimizer(star.catalog, fast_path=False)
-        assert slow.cache_stats is None
-        assert slow.optimize(star.query, mode=OptimizerMode.BUSHY_PAR).stats is None
+        # The uncached exhaustive objective keeps no counters.
+        assert ParcostObjective(star.catalog).stats is None
 
     def test_caches_clear_resets_everything(self, star):
-        optimizer = TwoPhaseOptimizer(star.catalog, fast_path=True)
+        optimizer = TwoPhaseOptimizer(star.catalog)
         optimizer.optimize(star.query, mode=OptimizerMode.BUSHY_PAR)
-        assert optimizer.caches is not None
         assert optimizer.caches.parcost_elapsed
         assert optimizer.caches.node_estimates
         optimizer.caches.clear()
@@ -296,7 +310,7 @@ class TestTwoPhaseFastPath:
         assert optimizer.caches.stats.candidates == 0
 
     def test_second_query_benefits_from_warm_caches(self, star):
-        optimizer = TwoPhaseOptimizer(star.catalog, fast_path=True)
+        optimizer = TwoPhaseOptimizer(star.catalog)
         optimizer.optimize(star.query, mode=OptimizerMode.BUSHY_PAR)
         sims_cold = optimizer.caches.stats.parcost_misses
         optimizer.optimize(star.query, mode=OptimizerMode.BUSHY_PAR)

@@ -1,33 +1,26 @@
 """Serving throughput floors (``-m servperf``; excluded from tier-1).
 
-Wall-clock floors regress loudly when the fast gate loses its edge.
-The absolute floor is set far below the measured ~15k submissions/sec
-so slow CI hosts pass, and the relative floor (fast vs reference arm at
-the deepest stress rung, measured ~4x) asserts well under the recorded
-BENCH_SERVE.json speedup for the same reason — these are tripwires, not
-benchmarks; BENCH_SERVE.json records the honest numbers.
+Wall-clock floors regress loudly when the gate loses its edge.  Every
+rung of the ext2 stress ladder must clear an absolute submissions/sec
+floor set far below the ~11–16k measured at the shallowest to deepest
+rung, so slow CI hosts pass — these are tripwires, not benchmarks;
+BENCH_SERVE.json records the honest numbers.
 """
 
 import pytest
 
-from repro.bench.servebench import run_servebench
+from repro.bench.servebench import DEFAULT_CASES, run_servebench
 
-#: Fast-arm submissions/sec floor, with generous CI headroom.
+#: Submissions/sec floor on every rung, with generous CI headroom.
 SUBS_PER_SEC_FLOOR = 2_000
-#: Fast-over-reference wall-clock ratio floor at the deep rung.
-SPEEDUP_FLOOR = 2.0
 
 
 @pytest.mark.servperf
 class TestServePerfFloor:
-    def test_deep_congestion_rung_meets_floors(self):
-        report = run_servebench(
-            ((2400, 6.0, 512),), repeats=2, include_before=True
-        )
-        (case,) = report.cases
+    def test_every_ladder_rung_meets_the_floor(self):
+        report = run_servebench(DEFAULT_CASES, repeats=2)
         # Seeded, so the simulated quantities are fixed; a change here
         # is a behaviour change, not a perf regression.
-        assert case.decide_rounds == 4880
-        assert case.identical
-        assert case.subs_per_sec >= SUBS_PER_SEC_FLOOR
-        assert case.speedup is not None and case.speedup >= SPEEDUP_FLOOR
+        assert report.cases[-1].decide_rounds == 4880
+        for case in report.cases:
+            assert case.subs_per_sec >= SUBS_PER_SEC_FLOOR, case

@@ -204,7 +204,7 @@ class TestServeBenchCommand:
             repro.bench.servebench,
             "smoke_lines",
             lambda *, seed=0: [
-                "smoke failed: fast path diverged from the reference gate"
+                "smoke failed: serving accounting: q0 has 2 outcomes"
             ],
         )
         assert main(["servebench", "--smoke"]) == 1
@@ -223,16 +223,21 @@ class TestServeBenchCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "subs/sec" in out
-        assert f"appended entries through 2 to {path}" in out
-        trajectory = json.loads(path.read_text())
-        assert [e["label"] for e in trajectory] == [
-            "cli-test/fast-path-off",
-            "cli-test/fast-path-on",
-        ]
+        assert f"appended entry 1 to {path}" in out
+        (entry,) = json.loads(path.read_text())
+        assert entry["label"] == "cli-test"
+        assert entry["workloads"]["120sub/1ps"]["subs_per_sec"] > 0
 
     def test_servebench_rejects_ragged_cases(self, capsys):
         assert main(["servebench", "--cases", "120", "1"]) == 1
         assert "n rate qcap triples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cases", [["12.9", "1.0", "4"], ["12", "1.0", "4.5"]]
+    )
+    def test_servebench_rejects_non_integer_cases(self, capsys, cases):
+        assert main(["servebench", "--cases", *cases]) == EXIT_USAGE
+        assert "must be integers" in capsys.readouterr().err
 
 
 class TestTraceCommand:
