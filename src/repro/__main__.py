@@ -308,21 +308,12 @@ def _cmd_optbench(args: argparse.Namespace) -> int:
         topology=args.topology,
         seed=args.seed,
         repeats=args.repeats,
-        include_before=not args.no_before,
     )
     print(report.to_table())
-    if not all(case.identical for case in report.cases):
-        print(
-            "optbench failed: fast path chose a different plan",
-            file=sys.stderr,
-        )
-        return 1
     if args.json is not None:
         path = Path(args.json)
-        count = 0
-        for entry in report.to_entries(args.label):
-            count = append_trajectory(path, entry)
-        print(f"appended entries through {count} to {path}")
+        count = append_trajectory(path, report.to_entry(args.label))
+        print(f"appended entry {count} to {path}")
     return 0
 
 
@@ -714,11 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock repetitions per case (best is kept)",
     )
     optbench.add_argument(
-        "--no-before",
-        action="store_true",
-        help="skip the fast-path-off reference timings",
-    )
-    optbench.add_argument(
         "--json",
         default=None,
         metavar="FILE",
@@ -727,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     optbench.add_argument(
         "--label",
         default="local",
-        help="label of the --json trajectory entries",
+        help="label of the --json trajectory entry",
     )
     optbench.add_argument(
         "--smoke",

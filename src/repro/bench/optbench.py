@@ -6,17 +6,17 @@ candidate joins, each one a full fluid-engine simulation before the
 fast path (estimate memoization, signature-keyed parcost caching,
 branch-and-bound candidate skipping — :mod:`repro.optimizer.cache`)
 was added.  This harness times phase-1 optimization across query sizes
-and plan spaces with the fast path off (``before``) and on (``after``),
-verifies both choose byte-identical plans, and reports candidate
-throughput (plans considered per wall second) plus end-to-end optimize
-latency.  ``BENCH_OPT.json`` at the repository root records the
-trajectory, mirroring ``BENCH_PERF.json`` for the micro engine.
+and plan spaces and reports candidate throughput (plans considered per
+wall second) plus end-to-end optimize latency.  ``BENCH_OPT.json`` at
+the repository root records the trajectory, mirroring
+``BENCH_PERF.json`` for the micro engine.
 
 Workloads are seeded star or chain joins, so every simulated quantity —
 candidate counts, prune/hit counters, the chosen plan and its parcost —
 is byte-stable; only wall-clock varies between machines.  ``--smoke``
-prints only the byte-stable part and asserts fast/slow plan identity,
-giving CI a cheap end-to-end check of the pruning-safety argument.
+prints only the byte-stable part and asserts plan identity against the
+exhaustive ``caches=None`` search, giving CI a cheap end-to-end check
+of the pruning-safety argument.
 """
 
 from __future__ import annotations
@@ -79,17 +79,8 @@ class OptBenchCase:
     parcost_hits: int
     simulated: int
     chosen_parcost: float
-    wall_before: float | None
-    wall_after: float
+    wall_seconds: float
     plans_per_sec: float
-    identical: bool
-
-    @property
-    def speedup(self) -> float | None:
-        """Before/after wall-clock ratio (None without a before run)."""
-        if self.wall_before is None or self.wall_after <= 0:
-            return None
-        return self.wall_before / self.wall_after
 
 
 @dataclass
@@ -107,82 +98,35 @@ class OptBenchReport:
             f"optimizer throughput ({self.topology} joins, seed={self.seed}, "
             f"best of {self.repeats})",
             f"{'rels':>5} {'space':<10} {'cands':>6} {'pruned':>7} "
-            f"{'sims':>5} {'before s':>9} {'after s':>8} {'speedup':>8} "
-            f"{'plans/sec':>10}",
+            f"{'sims':>5} {'wall s':>8} {'plans/sec':>10}",
         ]
         for case in self.cases:
-            before = (
-                f"{case.wall_before:>9.3f}" if case.wall_before is not None else f"{'-':>9}"
-            )
-            speedup = (
-                f"{case.speedup:>7.2f}x" if case.speedup is not None else f"{'-':>8}"
-            )
             lines.append(
                 f"{case.n_relations:>5} {case.space:<10} {case.candidates:>6} "
-                f"{case.pruned:>7} {case.simulated:>5} {before} "
-                f"{case.wall_after:>8.3f} {speedup} {case.plans_per_sec:>10,.0f}"
+                f"{case.pruned:>7} {case.simulated:>5} "
+                f"{case.wall_seconds:>8.3f} {case.plans_per_sec:>10,.0f}"
             )
-        if not all(case.identical for case in self.cases):
-            lines.append("PLAN MISMATCH: fast path chose a different plan")
         return "\n".join(lines)
 
-    def to_entries(self, label: str) -> list[dict]:
-        """Before/after ``BENCH_OPT.json`` trajectory entries.
-
-        The *before* entry (fast path off) is only emitted when before
-        timings were collected.
-        """
-        def case_key(case: OptBenchCase) -> str:
-            return f"{case.n_relations}rel/{case.space}"
-
-        entries: list[dict] = []
-        if all(case.wall_before is not None for case in self.cases):
-            entries.append(
-                {
-                    "label": f"{label}/fast-path-off",
-                    "seed": self.seed,
-                    "topology": self.topology,
-                    "repeats": self.repeats,
-                    "fast_path": False,
-                    "workloads": {
-                        case_key(case): {
-                            "candidates": case.candidates,
-                            "wall_seconds": round(case.wall_before, 4),
-                            "plans_per_sec": round(
-                                case.candidates / case.wall_before
-                            )
-                            if case.wall_before
-                            else 0,
-                        }
-                        for case in self.cases
-                    },
+    def to_entry(self, label: str) -> dict:
+        """One ``BENCH_OPT.json`` trajectory entry."""
+        return {
+            "label": label,
+            "seed": self.seed,
+            "topology": self.topology,
+            "repeats": self.repeats,
+            "workloads": {
+                f"{case.n_relations}rel/{case.space}": {
+                    "candidates": case.candidates,
+                    "pruned": case.pruned,
+                    "parcost_hits": case.parcost_hits,
+                    "simulated": case.simulated,
+                    "wall_seconds": round(case.wall_seconds, 4),
+                    "plans_per_sec": round(case.plans_per_sec),
                 }
-            )
-        entries.append(
-            {
-                "label": f"{label}/fast-path-on",
-                "seed": self.seed,
-                "topology": self.topology,
-                "repeats": self.repeats,
-                "fast_path": True,
-                "workloads": {
-                    case_key(case): {
-                        "candidates": case.candidates,
-                        "pruned": case.pruned,
-                        "parcost_hits": case.parcost_hits,
-                        "simulated": case.simulated,
-                        "wall_seconds": round(case.wall_after, 4),
-                        "plans_per_sec": round(case.plans_per_sec),
-                        "speedup_vs_off": round(case.speedup, 2)
-                        if case.speedup is not None
-                        else None,
-                        "plan_identical_to_off": case.identical,
-                    }
-                    for case in self.cases
-                },
-            }
-        )
-        return entries
+                for case in self.cases
+            },
+        }
 
 
 def bench_workload(
@@ -215,12 +159,8 @@ def bench_workload(
 
 
 def time_optimize(
-    schema: JoinSchema,
-    space: str,
-    *,
-    fast_path: bool,
-    repeats: int = DEFAULT_REPEATS,
-) -> tuple[float, object, OptimizerCaches | None]:
+    schema: JoinSchema, space: str, *, repeats: int = DEFAULT_REPEATS
+) -> tuple[float, object, OptimizerCaches]:
     """Time phase-1 optimization; wall time is the best of ``repeats``.
 
     Every repeat starts from cold caches (a fresh
@@ -232,15 +172,18 @@ def time_optimize(
     plan = None
     caches = None
     for _ in range(repeats):
-        caches = OptimizerCaches() if fast_path else None
+        caches = OptimizerCaches()
         objective = ParcostObjective(schema.catalog, caches=caches)
-        stats = caches.stats if caches is not None else None
         start = time.perf_counter()
         plan = enumerate_space(
-            schema.query, schema.catalog, objective, space=space, stats=stats
+            schema.query,
+            schema.catalog,
+            objective,
+            space=space,
+            stats=caches.stats,
         )
         best = min(best, time.perf_counter() - start)
-    assert plan is not None
+    assert plan is not None and caches is not None
     return best, plan, caches
 
 
@@ -251,36 +194,14 @@ def run_optbench(
     topology: str = "star",
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
-    include_before: bool = True,
 ) -> OptBenchReport:
-    """Time the optimizer across sizes and plan spaces.
-
-    With ``include_before`` (default) each case is also timed with the
-    fast path off and the two chosen plans are compared — a mismatch is
-    reported on the case (and loudly by :meth:`OptBenchReport.to_table`)
-    rather than raised, so a regression still produces the numbers that
-    localize it.
-    """
+    """Time the optimizer across sizes and plan spaces."""
     report = OptBenchReport(seed=seed, topology=topology, repeats=repeats)
     for n_relations in relations:
         schema = bench_workload(n_relations, topology=topology, seed=seed)
         for space in spaces:
-            wall_after, fast_plan, caches = time_optimize(
-                schema, space, fast_path=True, repeats=repeats
-            )
-            assert caches is not None
+            wall, plan, caches = time_optimize(schema, space, repeats=repeats)
             stats = caches.stats
-            fast_key = plan_shape_key(fast_plan)
-            chosen_parcost = parcost(fast_plan, schema.catalog)
-            wall_before: float | None = None
-            identical = True
-            if include_before:
-                wall_before, slow_plan, _ = time_optimize(
-                    schema, space, fast_path=False, repeats=repeats
-                )
-                identical = plan_shape_key(slow_plan) == fast_key and (
-                    parcost(slow_plan, schema.catalog) == chosen_parcost
-                )
             report.cases.append(
                 OptBenchCase(
                     n_relations=n_relations,
@@ -291,13 +212,9 @@ def run_optbench(
                     pruned=stats.pruned,
                     parcost_hits=stats.parcost_hits,
                     simulated=stats.simulated,
-                    chosen_parcost=chosen_parcost,
-                    wall_before=wall_before,
-                    wall_after=wall_after,
-                    plans_per_sec=stats.candidates / wall_after
-                    if wall_after > 0
-                    else 0.0,
-                    identical=identical,
+                    chosen_parcost=parcost(plan, schema.catalog),
+                    wall_seconds=wall,
+                    plans_per_sec=stats.candidates / wall if wall > 0 else 0.0,
                 )
             )
     return report
@@ -308,9 +225,9 @@ def smoke_lines(*, seed: int = 0, topology: str = "star") -> list[str]:
 
     Reports only deterministic quantities (candidate counts, prune and
     cache counters, the chosen plan's parcost), never wall-clock, and
-    replays the search with the fast path off to assert plan identity —
-    two runs on any machines print the same bytes unless the
-    plan-identical guarantee itself broke.
+    replays the exhaustive ``caches=None`` search to assert plan
+    identity — two runs on any machines print the same bytes unless
+    the plan-identical guarantee itself broke.
     """
     schema = bench_workload(4, topology=topology, seed=seed)
     caches = OptimizerCaches()

@@ -320,14 +320,6 @@ class _TaskRun:
         frac = 1.0 - self.pages_done / self.spec.n_pages
         return frac * self.task.seq_time
 
-    def page_block(self, page: int, machine: MachineConfig) -> tuple[int, int]:
-        """(disk, block) of a page: round-robin striping, sequential
-        block order for sequential scans, scattered for random ones."""
-        p = self.order[page]
-        disk_id = p % machine.disks
-        block = self.block_base + p // machine.disks
-        return disk_id, block
-
 
 class MicroSimulator:
     """Discrete-event page-level simulation of the XPRS machine.
@@ -473,7 +465,7 @@ class _MicroEngine:
         self.clock = 0.0
         #: Heap of (time, seq, tag, payload) — see the _EV_* tags.
         self._events: list[tuple[float, int, int, object]] = []
-        self._seq = 0  # heap tiebreaker; incremented inline (hot path)
+        self._seq = 0  # heap tiebreaker
         self._rng = random.Random(seed)
         # resources
         self._n_disks = machine.disks
@@ -580,10 +572,13 @@ class _MicroEngine:
         # type-tagged tuples handled inline (no closure allocation, no
         # indirect call), everything rare falls through to a callback.
         # The steady-state page cycle (io done -> grab a processor ->
-        # cpu done -> claim next page -> queue next io) runs entirely
-        # inside this loop body; the inlined blocks mirror
-        # _dispatch_cpu and _slave_next exactly, and fall back to those
-        # methods for the contended or faulted cases.
+        # cpu done -> claim next page -> queue next io) runs inside
+        # this loop body; the inlined blocks mirror _dispatch_cpu,
+        # _slave_next and Disk.service_time exactly, and fall back to
+        # the methods for the contended, faulted or final cases.  All
+        # engine state stays on ``self`` (only ``run`` ever assigns
+        # ``self.clock``); the locals below alias containers that are
+        # only ever mutated in place.
         events = self._events
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -596,43 +591,26 @@ class _MicroEngine:
         running = self.running
         pending = self._pending
         arrivals = self._arrivals
-        # The hot scalars (clock, event seq, free processors, the two
-        # accounting sums) live in locals; every escape to a method call
-        # writes them back first and re-reads the ones methods mutate
-        # afterwards (only ``run`` ever assigns ``self.clock``).
-        clock = self.clock
-        seqno = self._seq
-        free = self.free_processors
-        cpu_busy = self.cpu_busy_time
-        io_count = self.io_count
         for _ in range(_MAX_EVENTS):
             # Stop at the last completion, not at the last armed fault:
             # remaining injector events must not stretch the clock.
             # (Inlined self._finished().)
             if not events or not (running or pending or arrivals):
-                self.clock = clock
-                self._seq = seqno
-                self.free_processors = free
-                self.cpu_busy_time = cpu_busy
-                self.io_count = io_count
                 break
             time, __, tag, payload = heappop(events)
+            clock = self.clock
             if time < clock - _EPS:
                 raise SimulationError("time went backwards")
             if time > clock:
-                clock = time
+                self.clock = clock = time
             if tag == _EV_IO_DONE:
                 disk_id = payload[2]
                 disk_busy[disk_id] = False
                 queue = disk_queues[disk_id]
                 if queue:
                     if injector is None and len(queue) == 1:
-                        # Inlined healthy singleton serve: the elevator
-                        # is trivial with one request, and the block
-                        # below reproduces Disk.service_time's
-                        # classification and accounting verbatim
-                        # (multiplier 1.0).  Deeper queues and faulted
-                        # disks fall back to _dispatch_disk.
+                        # Healthy singleton serve, inlined from
+                        # Disk.service_time (multiplier 1.0).
                         entry = queue.popleft()
                         block = entry[3]
                         disk = disks[disk_id]
@@ -670,66 +648,39 @@ class _MicroEngine:
                             disk._match_cache.clear()
                         disk.busy_time += service
                         disk_busy[disk_id] = True
-                        io_count += 1
+                        self.io_count += 1
+                        seq = self._seq
+                        self._seq = seq + 1
                         heappush(
-                            events,
-                            (clock + service, seqno, _EV_IO_DONE, entry),
+                            events, (clock + service, seq, _EV_IO_DONE, entry)
                         )
-                        seqno += 1
                     else:
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
                         self._dispatch_disk(disk_id)
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
                 if payload[1].crashed:
                     continue
                 # Inlined _dispatch_cpu: grant a free processor to this
                 # page directly; queue behind the FIFO otherwise.
-                if free > 0 and not cpu_queue:
-                    free -= 1
+                if self.free_processors > 0 and not cpu_queue:
+                    self.free_processors -= 1
                     duration = payload[0].cpu_per_page
-                    cpu_busy += duration
+                    self.cpu_busy_time += duration
+                    seq = self._seq
+                    self._seq = seq + 1
                     heappush(
-                        events,
-                        (clock + duration, seqno, _EV_CPU_DONE, payload),
+                        events, (clock + duration, seq, _EV_CPU_DONE, payload)
                     )
-                    seqno += 1
                 else:
                     cpu_queue.append(payload)
-                    if free > 0:
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
+                    if self.free_processors > 0:
                         self._dispatch_cpu()
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
             elif tag == _EV_CPU_DONE:
                 run = payload[0]
                 slave = payload[1]
-                free += 1
+                self.free_processors += 1
                 if slave.crashed:
                     # The page dies with the slave; its replacement
                     # re-reads it, so do not count it done here.
-                    self.clock = clock
-                    self._seq = seqno
-                    self.free_processors = free
-                    self.cpu_busy_time = cpu_busy
-                    self.io_count = io_count
                     self._dispatch_cpu()
-                    seqno = self._seq
-                    free = self.free_processors
-                    cpu_busy = self.cpu_busy_time
-                    io_count = self.io_count
                     continue
                 run.pages_done += 1
                 slave.busy = False
@@ -763,16 +714,7 @@ class _MicroEngine:
                         page = slave.next_key()
                     if page is None:
                         slave.retired = True
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
                         self._maybe_complete(run)
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
                     else:
                         slave.busy = True
                         slave.inflight_page = page
@@ -791,22 +733,12 @@ class _MicroEngine:
                         ):
                             disk_queues[disk_id].append(entry)
                             if not disk_busy[disk_id]:
-                                self.clock = clock
-                                self._seq = seqno
-                                self.free_processors = free
-                                self.cpu_busy_time = cpu_busy
-                                self.io_count = io_count
                                 self._dispatch_disk(disk_id)
-                                seqno = self._seq
-                                free = self.free_processors
-                                cpu_busy = self.cpu_busy_time
-                                io_count = self.io_count
                         else:
                             # Idle disk, empty queue, healthy: serve the
-                            # new request immediately without the deque
-                            # round-trip.  Same serve block as the io
-                            # branch above — identical to appending the
-                            # entry and dispatching the singleton.
+                            # new request without the deque round-trip.
+                            # Inlined from Disk.service_time (multiplier
+                            # 1.0), like the io branch's singleton serve.
                             block = entry[3]
                             disk = disks[disk_id]
                             streams = disk._streams
@@ -846,80 +778,35 @@ class _MicroEngine:
                                 disk._match_cache.clear()
                             disk.busy_time += service
                             disk_busy[disk_id] = True
-                            io_count += 1
+                            self.io_count += 1
+                            seq = self._seq
+                            self._seq = seq + 1
                             heappush(
                                 events,
-                                (
-                                    clock + service,
-                                    seqno,
-                                    _EV_IO_DONE,
-                                    entry,
-                                ),
+                                (clock + service, seq, _EV_IO_DONE, entry),
                             )
-                            seqno += 1
                 # Inlined _dispatch_cpu: the freed processor serves the
                 # FIFO head, then any remaining backlog via the method.
                 if cpu_queue:
                     entry = cpu_queue.popleft()
                     if entry[1].crashed:
-                        self.clock = clock
-                        self._seq = seqno
-                        self.free_processors = free
-                        self.cpu_busy_time = cpu_busy
-                        self.io_count = io_count
                         self._dispatch_cpu()
-                        seqno = self._seq
-                        free = self.free_processors
-                        cpu_busy = self.cpu_busy_time
-                        io_count = self.io_count
                     else:
-                        free -= 1
+                        self.free_processors -= 1
                         duration = entry[0].cpu_per_page
-                        cpu_busy += duration
+                        self.cpu_busy_time += duration
+                        seq = self._seq
+                        self._seq = seq + 1
                         heappush(
-                            events,
-                            (clock + duration, seqno, _EV_CPU_DONE, entry),
+                            events, (clock + duration, seq, _EV_CPU_DONE, entry)
                         )
-                        seqno += 1
-                        if cpu_queue and free > 0:
-                            self.clock = clock
-                            self._seq = seqno
-                            self.free_processors = free
-                            self.cpu_busy_time = cpu_busy
-                            self.io_count = io_count
+                        if cpu_queue and self.free_processors > 0:
                             self._dispatch_cpu()
-                            seqno = self._seq
-                            free = self.free_processors
-                            cpu_busy = self.cpu_busy_time
-                            io_count = self.io_count
                 if run.pages_done >= run.n_pages:
-                    self.clock = clock
-                    self._seq = seqno
-                    self.free_processors = free
-                    self.cpu_busy_time = cpu_busy
-                    self.io_count = io_count
                     self._maybe_complete(run)
-                    seqno = self._seq
-                    free = self.free_processors
-                    cpu_busy = self.cpu_busy_time
-                    io_count = self.io_count
             else:
-                self.clock = clock
-                self._seq = seqno
-                self.free_processors = free
-                self.cpu_busy_time = cpu_busy
-                self.io_count = io_count
                 payload()
-                seqno = self._seq
-                free = self.free_processors
-                cpu_busy = self.cpu_busy_time
-                io_count = self.io_count
         else:
-            self.clock = clock
-            self._seq = seqno
-            self.free_processors = free
-            self.cpu_busy_time = cpu_busy
-            self.io_count = io_count
             progress = ", ".join(
                 f"{r.task.name} {r.pages_done}/{r.spec.n_pages}p x={r.parallelism}"
                 + (" adjusting" if r.adjusting else "")
@@ -1053,7 +940,7 @@ class _MicroEngine:
     def _master_crash(self, fault: MasterCrash) -> None:
         """The whole engine dies: record it and unwind out of run().
 
-        The hot locals are synced before every callback, so the engine
+        The run loop keeps all engine state on ``self``, so the engine
         object is consistent when this raises; the caller (typically
         :func:`repro.recovery.run_with_recovery`) restarts from the
         newest checkpoint.
@@ -1316,7 +1203,8 @@ class _MicroEngine:
         self._cancel_dependents(task)
 
     def _cancel_arrival(self, task: Task, *, reason: str) -> None:
-        self._arrivals = [e for e in self._arrivals if e[2] is not task]
+        # In place: the run loop holds this list for its stop test.
+        self._arrivals[:] = [e for e in self._arrivals if e[2] is not task]
         heapq.heapify(self._arrivals)
         self._log_cancel(
             task, reason, f"{task.name}: cancelled ({reason}) before arrival"
@@ -1699,7 +1587,8 @@ class _MicroEngine:
             return
         slave.busy = True
         slave.inflight_page = page
-        # Inlined _TaskRun.page_block: this runs once per page.
+        # (disk, block) of the page: round-robin striping of its
+        # position in the run's page order.
         p = run.order[page]
         disk_id = p % self._n_disks
         self._disk_queues[disk_id].append(
@@ -1822,31 +1711,11 @@ class _MicroEngine:
                 entry = queue[best_index]
                 del queue[best_index]
         self._disk_busy[disk_id] = True
-        block = entry[3]
         if injector is None:
-            # Inlined Disk.service_time for the healthy multiplier=1.0
-            # case — identical accounting, no method call per page.
-            cached = disk._match_cache.get(block)
-            regime, index = cached if cached is not None else disk._match(block)
-            counters = disk.counters
-            if regime == "sequential":
-                counters.sequential += 1
-            elif regime == "almost_sequential":
-                counters.almost_sequential += 1
-            else:
-                counters.random += 1
-            service = disk._service_times[regime]
-            streams = disk._streams
-            if index is not None:
-                streams.pop(index)
-            streams.append(block)
-            if len(streams) > disk.stream_memory:
-                streams.pop(0)
-            disk._match_cache.clear()
-            disk.busy_time += service
+            service = disk.service_time(entry[3])
         else:
             multiplier = injector.multiplier(disk_id)
-            service = disk.service_time(block, multiplier=multiplier)
+            service = disk.service_time(entry[3], multiplier=multiplier)
             self._observe_disk(disk_id, multiplier)
         self.io_count += 1
         seq = self._seq

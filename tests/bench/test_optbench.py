@@ -25,9 +25,7 @@ PLANS_PER_SEC_FLOOR = 2_000
 @pytest.mark.optperf
 class TestOptPerfFloor:
     def test_6_relation_bushy_meets_floor(self):
-        report = run_optbench(
-            (6,), spaces=("bushy",), repeats=2, include_before=False
-        )
+        report = run_optbench((6,), spaces=("bushy",), repeats=2)
         (case,) = report.cases
         assert case.candidates == 486  # seeded search space is fixed
         assert case.plans_per_sec >= PLANS_PER_SEC_FLOOR
@@ -54,63 +52,47 @@ class TestHarness:
             (4, "left-deep"),
             (4, "bushy"),
         ]
+        # Plan identity against the exhaustive search is checked by
+        # optbench --smoke, the golden plan corpus and the optimizer
+        # oracle tests; the harness itself only times the fast path.
         for case in report.cases:
-            assert case.identical  # the plan-identical guarantee
             assert case.candidates == case.costed + case.pruned
-            assert case.wall_after > 0
-            assert case.wall_before is not None and case.wall_before > 0
-            assert case.speedup is not None and case.speedup > 0
+            assert case.wall_seconds > 0
             assert case.plans_per_sec > 0
 
     def test_counters_are_deterministic(self):
-        one = run_optbench((4,), spaces=("bushy",), repeats=1, include_before=False)
-        two = run_optbench((4,), spaces=("bushy",), repeats=1, include_before=False)
+        one = run_optbench((4,), spaces=("bushy",), repeats=1)
+        two = run_optbench((4,), spaces=("bushy",), repeats=1)
         assert one.cases[0].candidates == two.cases[0].candidates
         assert one.cases[0].pruned == two.cases[0].pruned
         assert one.cases[0].simulated == two.cases[0].simulated
         assert one.cases[0].chosen_parcost == two.cases[0].chosen_parcost
 
-    def test_skipping_before_omits_the_before_entry(self):
-        report = run_optbench(
-            (4,), spaces=("bushy",), repeats=1, include_before=False
-        )
-        (case,) = report.cases
-        assert case.wall_before is None
-        assert case.speedup is None
-        entries = report.to_entries("ci")
-        assert [entry["label"] for entry in entries] == ["ci/fast-path-on"]
-
-    def test_entries_pair_before_and_after(self, tmp_path):
+    def test_entry_records_every_case(self, tmp_path):
         from repro.bench.optbench import append_trajectory
 
         report = run_optbench((4,), spaces=("bushy",), repeats=1)
-        entries = report.to_entries("local")
-        assert [entry["label"] for entry in entries] == [
-            "local/fast-path-off",
-            "local/fast-path-on",
-        ]
-        after = entries[1]["workloads"]["4rel/bushy"]
-        assert after["plan_identical_to_off"] is True
-        assert after["speedup_vs_off"] is not None
+        entry = report.to_entry("local")
+        assert entry["label"] == "local"
+        case = entry["workloads"]["4rel/bushy"]
+        assert case["candidates"] == report.cases[0].candidates
+        assert case["wall_seconds"] >= 0
         path = tmp_path / "BENCH_OPT.json"
-        for entry in entries:
-            append_trajectory(path, entry)
+        append_trajectory(path, entry)
         trajectory = json.loads(path.read_text())
-        assert len(trajectory) == 2
+        assert len(trajectory) == 1
         assert "4rel/bushy" in trajectory[0]["workloads"]
 
     def test_table_mentions_every_case(self):
         report = run_optbench((4,), spaces=("bushy",), repeats=1)
         table = report.to_table()
         assert "bushy" in table
-        assert "PLAN MISMATCH" not in table
 
-    def test_time_optimize_returns_caches_only_on_fast_path(self):
+    def test_time_optimize_returns_the_last_repeats_caches(self):
         schema = bench_workload(4)
-        _, _, caches = time_optimize(schema, "bushy", fast_path=True, repeats=1)
-        assert caches is not None
-        _, _, caches = time_optimize(schema, "bushy", fast_path=False, repeats=1)
-        assert caches is None
+        wall, plan, caches = time_optimize(schema, "bushy", repeats=2)
+        assert wall > 0 and plan is not None
+        assert caches.stats.candidates > 0
 
 
 class TestSmoke:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.optbench import bench_workload
 from repro.config import paper_machine
 from repro.core.schedulers import InterWithAdjPolicy
 from repro.optimizer import (
@@ -268,28 +269,35 @@ class TestTwoPhaseFastPath:
     def test_fast_and_slow_optimizers_agree(self, star):
         # The oracle is the exhaustive search: no memos, no pruning
         # (caches=None objectives), then phase 2 on the chosen plan.
+        # optbench times only the fast path, so its 4-relation workload
+        # is checked here too (it equals ``star`` at today's row scale).
         machine = paper_machine()
+        for schema in (star, bench_workload(4)):
 
-        def seqcost(plan):
-            return estimate_plan(plan, star.catalog, machine=machine).seqcost()
+            def seqcost(plan):
+                return estimate_plan(
+                    plan, schema.catalog, machine=machine
+                ).seqcost()
 
-        exhaustive = {
-            OptimizerMode.LEFT_DEEP_SEQ: ("left-deep", seqcost),
-            OptimizerMode.BUSHY_SEQ: ("bushy", seqcost),
-            OptimizerMode.BUSHY_PAR: (
-                "bushy",
-                ParcostObjective(star.catalog, machine=machine),
-            ),
-        }
-        assert set(exhaustive) == set(OptimizerMode)
-        fast = TwoPhaseOptimizer(star.catalog, machine=machine)
-        for mode, (space, cost) in exhaustive.items():
-            slow = enumerate_space(star.query, star.catalog, cost, space=space)
-            result = fast.optimize(star.query, mode=mode)
-            assert plan_shape_key(result.plan) == plan_shape_key(slow)
-            assert result.parallel.elapsed == parallel_cost(
-                slow, star.catalog, machine=machine
-            ).elapsed
+            exhaustive = {
+                OptimizerMode.LEFT_DEEP_SEQ: ("left-deep", seqcost),
+                OptimizerMode.BUSHY_SEQ: ("bushy", seqcost),
+                OptimizerMode.BUSHY_PAR: (
+                    "bushy",
+                    ParcostObjective(schema.catalog, machine=machine),
+                ),
+            }
+            assert set(exhaustive) == set(OptimizerMode)
+            fast = TwoPhaseOptimizer(schema.catalog, machine=machine)
+            for mode, (space, cost) in exhaustive.items():
+                slow = enumerate_space(
+                    schema.query, schema.catalog, cost, space=space
+                )
+                result = fast.optimize(schema.query, mode=mode)
+                assert plan_shape_key(result.plan) == plan_shape_key(slow)
+                assert result.parallel.elapsed == parallel_cost(
+                    slow, schema.catalog, machine=machine
+                ).elapsed
 
     def test_stats_exposed_only_on_the_fast_path(self, star):
         fast = TwoPhaseOptimizer(star.catalog)

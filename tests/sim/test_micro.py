@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.core.task import IOPattern
 from repro.errors import SimulationError
+from repro.faults.schedule import DiskDegradation, FaultSchedule, QueryDeadline
 from repro.sim.micro import MicroSimulator, ScanSpec, spec_for_io_rate
 
 MACHINE = paper_machine()
@@ -263,3 +264,34 @@ class TestArrivals:
         )
         late_record = next(r for r in result.records if r.task.name == "late")
         assert late_record.started_at >= 2.0
+
+    @pytest.mark.parametrize("degrade_until", [None, 80.5])
+    def test_cancel_before_arrival_ends_the_run_at_the_cancel(
+        self, degrade_until
+    ):
+        # "b" is cancelled at t=1 before it arrives at t=30; once "a" is
+        # done and "b" cancelled nothing is left, so the run must stop
+        # there and not at the next armed event (the arrival at t=30 or
+        # the end of the degradation window).
+        a = spec_for_io_rate("a", MACHINE, io_rate=40.0, n_pages=200)
+        b = spec_for_io_rate(
+            "b", MACHINE, io_rate=40.0, n_pages=50, arrival_time=30.0
+        )
+        faults = [QueryDeadline(at=1.0, task="b")]
+        if degrade_until is not None:
+            faults.append(
+                DiskDegradation(
+                    disk=0,
+                    start=0.5,
+                    duration=degrade_until - 0.5,
+                    factor=0.5,
+                )
+            )
+        result = MicroSimulator(MACHINE, faults=FaultSchedule(tuple(faults))).run(
+            [a, b], IntraOnlyPolicy(integral=True)
+        )
+        assert [r.task.name for r in result.records] == ["a"]
+        assert [c.task.name for c in result.cancel_records] == ["b"]
+        finished_at = result.records[0].finished_at
+        assert result.elapsed == pytest.approx(max(finished_at, 1.0))
+        assert result.elapsed < 2.0
